@@ -22,7 +22,7 @@
 //! geometry) before overwriting anything, returning
 //! [`SnapError::Mismatch`] otherwise.
 
-use crate::Word;
+use crate::{TaskId, Word, NUM_TASKS};
 
 /// Current snapshot format version, bumped on any layout change.
 pub const SNAP_VERSION: u16 = 1;
@@ -344,6 +344,21 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a task number written as one byte.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] if the image ends first;
+    /// [`SnapError::Invalid`] for a byte outside `0..16`.
+    pub fn task(&mut self) -> Result<TaskId, SnapError> {
+        let raw = self.u8()?;
+        if usize::from(raw) < NUM_TASKS {
+            Ok(TaskId::new(raw))
+        } else {
+            Err(SnapError::Invalid { what: "task" })
+        }
+    }
+
     /// Fills a fixed-size word slice written by [`Writer::words`].
     ///
     /// # Errors
@@ -565,6 +580,17 @@ mod tests {
             r.word_seq().unwrap_err(),
             SnapError::Invalid { what: "length" }
         ));
+    }
+
+    #[test]
+    fn out_of_range_task_is_rejected() {
+        let mut w = Writer::new();
+        w.u8(15);
+        w.u8(16);
+        let img = w.finish();
+        let mut r = Reader::open(&img).unwrap();
+        assert_eq!(r.task().unwrap(), TaskId::new(15));
+        assert_eq!(r.task().unwrap_err(), SnapError::Invalid { what: "task" });
     }
 
     #[test]

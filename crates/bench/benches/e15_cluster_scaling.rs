@@ -4,12 +4,16 @@
 //!
 //! * aggregate completed requests per second of *simulated* time (the
 //!   throughput scaling claim: client/server pairs scale linearly), and
-//! * wall-clock epochs/s under all three executors — sequential oracle,
-//!   legacy thread-per-machine, and the work-stealing pool — on identical
-//!   work (bit-identical schedules make this a pure execution-strategy
-//!   comparison).  The pool-vs-threads ratio at 256 machines is the E15
-//!   scaling claim: one OS thread per simulated machine stops scaling the
-//!   moment machines outnumber cores.
+//! * wall-clock epochs/s under both executors — the sequential oracle and
+//!   the work-stealing pool — on identical work (bit-identical schedules
+//!   make this a pure execution-strategy comparison).
+//!
+//! The E15 scaling claim is then measured on its own at 256 machines:
+//! [`GATE_PAIRS`] interleaved `Exec::Sequential` / `Exec::Pool(2)` runs,
+//! reported as the median of the per-pair wall-clock ratios.  The pool is
+//! pinned at two workers so the number means the same on every host with
+//! at least two cores, and the median keeps one descheduled run from
+//! deciding it.
 //!
 //! E21 rides on the same binary: an open-loop saturation sweep (8
 //! servers + 8 burst generators, offered load stepped by shrinking the
@@ -23,13 +27,14 @@
 //! cargo bench ... -- --check BENCH_CLUSTER.json  # fail if pool speedup regressed
 //! ```
 //!
-//! The `--check` gate compares the in-process pool-vs-threads wall-clock
-//! ratio at 256 machines (host-speed cancels) against the committed
-//! `BENCH_CLUSTER.json` and fails on a >25% regression.  Set
-//! `DORADO_E21_NO_GATE=1` to skip (slow or shared hardware).
+//! The `--check` gate compares `pool_vs_seq_speedup_256` (host speed
+//! cancels in the ratio) against the committed `BENCH_CLUSTER.json` and
+//! fails on a >25% regression.  Set `DORADO_E21_NO_GATE=1` to skip (slow
+//! or shared hardware).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use dorado_bench::harness::json_number;
 use dorado_cluster::{ClusterConfig, ClusterSim, Exec};
 
 const WINDOW: u16 = 3;
@@ -39,6 +44,14 @@ const SIZES: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 const SAT_MACHINES: usize = 16;
 const SAT_BURST: u16 = 4;
 const SAT_PERIODS: [u16; 5] = [400, 150, 60, 25, 10];
+/// Interleaved sequential/pool pairs behind `pool_vs_seq_speedup_256`.
+const GATE_PAIRS: usize = 15;
+/// Pinned pool size for the gate: the smallest that can show a speedup.
+const GATE_WORKERS: usize = 2;
+/// Wall time of discarded pool runs before the gate's pairs.  On a shared VM
+/// a vCPU that sat idle comes back slowly: without this, the first seconds
+/// of pairs read as if the second core were missing.
+const GATE_WARMUP: Duration = Duration::from_secs(3);
 
 /// Epochs per scaling point, scaled down with cluster size so the sweep
 /// stays CI-sized while every point still moves real traffic.
@@ -71,16 +84,39 @@ fn run_saturation(period: u16, quick: bool) -> ClusterSim {
     sim
 }
 
-/// Pulls `"key": <number>` out of a flat JSON object without a JSON
-/// dependency (the results file is machine-written, flat, and ours).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The median over [`GATE_PAIRS`] interleaved pairs of the sequential
+/// over `Pool(GATE_WORKERS)` wall-clock ratio at 256 machines, taken
+/// after [`GATE_WARMUP`] of discarded pool runs.  The pair order
+/// alternates so neither executor always runs on a warmer host.
+fn pool_vs_seq_speedup_256(epochs: u64) -> f64 {
+    let warmup = Instant::now();
+    while warmup.elapsed() < GATE_WARMUP {
+        run(256, epochs, Exec::Pool(GATE_WORKERS));
+    }
+    let mut ratios: Vec<f64> = (0..GATE_PAIRS)
+        .map(|i| {
+            let (seq, pool) = if i % 2 == 0 {
+                let seq = run(256, epochs, Exec::Sequential).1;
+                (seq, run(256, epochs, Exec::Pool(GATE_WORKERS)).1)
+            } else {
+                let pool = run(256, epochs, Exec::Pool(GATE_WORKERS)).1;
+                (run(256, epochs, Exec::Sequential).1, pool)
+            };
+            pool / seq
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let n = ratios.len();
+    println!(
+        "E15 | 256 machines x {epochs} epoch(s), {GATE_PAIRS} seq/pool({GATE_WORKERS}) pairs: \
+         pool speedup min x{:.2} q1 x{:.2} median x{:.2} q3 x{:.2} max x{:.2}",
+        ratios[0],
+        ratios[n / 4],
+        ratios[n / 2],
+        ratios[3 * n / 4],
+        ratios[n - 1],
+    );
+    ratios[n / 2]
 }
 
 fn main() {
@@ -107,51 +143,35 @@ fn main() {
         if quick { " (quick)" } else { "" },
     );
     if cores == 1 {
-        println!(
-            "E15 | single-core host: the pool degenerates to ~sequential; \
-             thread-per-machine still pays per-machine spawn + barrier convoys"
-        );
+        println!("E15 | single-core host: the pool degenerates to ~sequential");
     }
 
     let mut json = format!(
-        "{{\n  \"schema\": \"dorado-e15-v3\",\n  \"quick\": {quick},\n  \"cores\": {cores}"
+        "{{\n  \"schema\": \"dorado-e15-v4\",\n  \"quick\": {quick},\n  \"cores\": {cores}"
     );
-    let mut speedup_256 = None;
     for machines in SIZES {
         let epochs = epochs_for(machines, quick);
         let (seq, seq_eps) = run(machines, epochs, Exec::Sequential);
         let (pool, pool_eps) = run(machines, epochs, Exec::Pool(0));
-        let (threads, threads_eps) = run(machines, epochs, Exec::Threads);
         assert_eq!(
             seq.responses(),
             pool.responses(),
             "pool run must match sequential at {machines} machines"
         );
-        assert_eq!(
-            seq.responses(),
-            threads.responses(),
-            "threads run must match sequential at {machines} machines"
-        );
         let w = seq.workload_summary();
-        let pool_vs_threads = pool_eps / threads_eps.max(1e-9);
         println!(
             "E15 | {machines:>3} machine(s) x {epochs} epoch(s): {:.0} req/s simulated \
-             ({} responses), p50 {} p99 {} cycles; epochs/s seq {seq_eps:.1} pool {pool_eps:.1} \
-             threads {threads_eps:.1} (pool x{pool_vs_threads:.2} vs threads)",
+             ({} responses), p50 {} p99 {} cycles; epochs/s seq {seq_eps:.1} pool {pool_eps:.1}",
             w.goodput_rps, w.responses, w.latency.p50, w.latency.p99,
         );
         json.push_str(&format!(
-            ",\n  \"scaling_{machines}_req_s\": {:.1},\n  \"scaling_{machines}_seq_eps\": {seq_eps:.2},\n  \"scaling_{machines}_pool_eps\": {pool_eps:.2},\n  \"scaling_{machines}_threads_eps\": {threads_eps:.2}",
+            ",\n  \"scaling_{machines}_req_s\": {:.1},\n  \"scaling_{machines}_seq_eps\": {seq_eps:.2},\n  \"scaling_{machines}_pool_eps\": {pool_eps:.2}",
             w.goodput_rps,
         ));
-        if machines == 256 {
-            speedup_256 = Some(pool_vs_threads);
-        }
     }
-    let speedup_256 = speedup_256.expect("256 is in SIZES");
-    println!("E15 | 256 machines: pool executor x{speedup_256:.2} over thread-per-machine");
+    let speedup_256 = pool_vs_seq_speedup_256(epochs_for(256, quick));
     json.push_str(&format!(
-        ",\n  \"pool_vs_threads_speedup_256\": {speedup_256:.3}"
+        ",\n  \"pool_vs_seq_speedup_256\": {speedup_256:.3}"
     ));
 
     println!(
@@ -184,18 +204,18 @@ fn main() {
         let committed =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check {path}: {e}"));
         // Absolute epochs/s is host-dependent; the gate is the in-process
-        // pool-vs-threads wall-clock ratio at 256 machines, which cancels
-        // host speed.
+        // pool-vs-sequential wall-clock ratio at 256 machines, which
+        // cancels host speed.
         if std::env::var("DORADO_E21_NO_GATE").is_ok_and(|v| v == "1") {
-            println!("E21 | gate pool_vs_threads_speedup_256 skipped (DORADO_E21_NO_GATE=1)");
+            println!("E21 | gate pool_vs_seq_speedup_256 skipped (DORADO_E21_NO_GATE=1)");
             return;
         }
-        let baseline = json_number(&committed, "pool_vs_threads_speedup_256")
-            .unwrap_or_else(|| panic!("--check {path}: missing key pool_vs_threads_speedup_256"));
+        let baseline = json_number(&committed, "pool_vs_seq_speedup_256")
+            .unwrap_or_else(|| panic!("--check {path}: missing key pool_vs_seq_speedup_256"));
         let floor = baseline * 0.75;
         let verdict = if speedup_256 < floor { "FAIL" } else { "ok" };
         println!(
-            "E21 | gate pool_vs_threads_speedup_256: measured x{speedup_256:.2} vs committed \
+            "E21 | gate pool_vs_seq_speedup_256: measured x{speedup_256:.2} vs committed \
              x{baseline:.2} (floor x{floor:.2}) {verdict}"
         );
         if speedup_256 < floor {

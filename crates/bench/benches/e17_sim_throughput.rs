@@ -33,6 +33,7 @@
 
 use std::time::Instant;
 
+use dorado_bench::harness::json_number;
 use dorado_bench::workstation_machine;
 use dorado_cluster::{ClusterConfig, ClusterSim, Exec};
 use dorado_core::ExecMode;
@@ -162,18 +163,6 @@ fn workstation_telemetry(budget: u64) {
         census(9, u32::MAX),
         lens.iter().max().copied().unwrap_or(0),
     );
-}
-
-/// Pulls `"key": <number>` out of a flat JSON object without a JSON
-/// dependency (the results file is machine-written, flat, and ours).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {

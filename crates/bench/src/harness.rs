@@ -5,6 +5,8 @@
 //! instead of an external benchmark crate.  Each measurement does one
 //! warm-up call, then samples the closure until either `SAMPLES` runs or
 //! the time budget is spent, and prints min/median/mean wall times.
+//! [`json_number`] reads the committed results files the `--check` gates
+//! compare against.
 
 use std::time::{Duration, Instant};
 
@@ -53,6 +55,20 @@ fn fmt(d: Duration) -> String {
     }
 }
 
+/// Pulls `"key": <number>` out of a flat JSON object without a JSON
+/// dependency (the results files are machine-written, flat, and ours).
+pub fn json_number(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\"");
+    let rest = &text[text.find(&needle)? + needle.len()..];
+    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+    let end = rest
+        .find(|c: char| {
+            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
+        })
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,5 +85,15 @@ mod tests {
         assert_eq!(fmt(Duration::from_micros(12)), "12.000 µs");
         assert_eq!(fmt(Duration::from_millis(12)), "12.000 ms");
         assert_eq!(fmt(Duration::from_secs(12)), "12.000 s");
+    }
+
+    #[test]
+    fn json_number_reads_flat_keys() {
+        let text = "{\n  \"schema\": \"v3\",\n  \"a_eps\": 12.5,\n  \"b\" : -3e2,\n  \"n\": 7\n}\n";
+        assert_eq!(json_number(text, "a_eps"), Some(12.5));
+        assert_eq!(json_number(text, "b"), Some(-300.0));
+        assert_eq!(json_number(text, "n"), Some(7.0));
+        assert_eq!(json_number(text, "schema"), None, "strings are not numbers");
+        assert_eq!(json_number(text, "missing"), None);
     }
 }

@@ -1,5 +1,5 @@
 //! The epoch-based executors: N machines, one fabric, bit-identical
-//! results whether the machines run on one thread, N threads, or a fixed
+//! results whether the machines run on the calling thread or on a fixed
 //! worker pool.
 //!
 //! Time advances in fixed *epochs* of `epoch_cycles` microcycles.  Within
@@ -8,7 +8,7 @@
 //! injected at their destination only once their fabric flight time has
 //! elapsed — always at a later boundary.  Because no machine can observe
 //! another mid-epoch, every schedule of the per-machine work computes the
-//! same thing, and both parallel executors are asserted bit-identical to
+//! same thing, and the pool executor is asserted bit-identical to
 //! [`run_sequential`] by the determinism tests.
 //!
 //! Each epoch has three phases separated by barriers:
@@ -23,23 +23,16 @@
 //! The barrier between send and collect keeps a fast machine's epoch-*e+1*
 //! sends out of a slow machine's epoch-*e* queue-cap accounting.
 //!
-//! Two parallel strategies implement that contract:
-//!
-//! * [`run_parallel`] — the legacy *thread-per-machine* executor: one OS
-//!   thread per machine, every thread crossing every barrier.  It stops
-//!   scaling the moment machines outnumber cores: a 256-machine cluster
-//!   on an N-core host pays 256-way barrier convoys and context-switch
-//!   storms per epoch.
-//! * [`run_pool`] — the production *work-stealing pool* executor: a fixed
-//!   pool of workers (defaulting to the host parallelism) pulls machine
-//!   indices from a shared injector each phase, so load balances across
-//!   heterogeneous machines, idle (halted) machines cost one compare, and
-//!   only `workers` threads ever cross a barrier.  The per-epoch fabric
-//!   exchange is sharded per port (see [`Fabric`]): collects run in
-//!   parallel on disjoint shards, while sends are ingested serially in
-//!   port order by the coordinator — which is also where the
-//!   [`Mangle`] fault hook runs, keyed by `(epoch boundary, port)` and
-//!   therefore independent of thread timing.
+//! [`run_pool`] implements that contract in parallel as a *work-stealing
+//! pool*: a fixed pool of workers (defaulting to the host parallelism)
+//! pulls machine indices from a shared injector each phase, so load
+//! balances across heterogeneous machines, idle (halted) machines cost
+//! one compare, and only `workers` threads ever cross a barrier.  The
+//! per-epoch fabric exchange is sharded per port (see [`Fabric`]):
+//! collects run in parallel on disjoint shards, while sends are ingested
+//! serially in port order by the coordinator — which is also where the
+//! [`Mangle`] fault hook runs, keyed by `(epoch boundary, port)` and
+//! therefore independent of thread timing.
 //!
 //! [`NetworkController`]: dorado_io::NetworkController
 
@@ -61,14 +54,12 @@ pub struct EpochConfig {
     pub epochs: u64,
 }
 
-/// Which executor drives the cluster — all three produce identical
-/// simulated results; they differ only in wall-clock strategy.
+/// Which executor drives the cluster — both produce identical simulated
+/// results; they differ only in wall-clock strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exec {
     /// Everything on the calling thread: the reference oracle.
     Sequential,
-    /// The legacy thread-per-machine executor (one OS thread per machine).
-    Threads,
     /// The work-stealing pool executor with this many workers; `0` means
     /// one worker per available hardware core.  The worker count never
     /// exceeds the machine count, and `Pool(1)` spawns no threads at all.
@@ -112,8 +103,8 @@ fn tx_pending(m: &Dorado) -> bool {
 pub type Mangle<'a> = &'a mut dyn FnMut(u64, usize, &mut Vec<Word>) -> bool;
 
 /// Drains one machine's transmit transcript into the fabric, applying the
-/// fault hook.  Shared by the sequential executor and the pool
-/// coordinator (both call it in port order).
+/// fault hook: the sequential executor's send phase.  The pool
+/// coordinator does the same from its outboxes, in the same port order.
 fn drain_into_fabric(
     m: &mut Dorado,
     port: usize,
@@ -190,75 +181,6 @@ pub fn run_sequential_mangled(
         }
     }
     now
-}
-
-/// Like [`run_sequential`], but each machine runs on its own OS thread,
-/// with the phases separated by whole-cluster barriers.  Produces
-/// bit-identical machine statistics and fabric counters, and terminates at
-/// the same (possibly early) fabric time when every machine has halted:
-/// each epoch opens with a halt census, and all threads leave together
-/// once the census reaches the machine count.
-///
-/// This is the legacy executor kept as a comparison point; it burns one
-/// OS thread per machine and convoys every epoch behind the slowest of
-/// them.  Prefer [`run_pool`], which is bit-identical to both.
-pub fn run_parallel(
-    machines: &mut [Dorado],
-    fabric: &mut Fabric,
-    cfg: EpochConfig,
-    start_cycle: u64,
-) -> u64 {
-    assert_eq!(machines.len(), fabric.ports(), "one machine per port");
-    if machines.is_empty() {
-        return start_cycle + cfg.epochs * cfg.epoch_cycles;
-    }
-    let count = machines.len();
-    let barrier = Barrier::new(count);
-    // Halt census for the epoch being entered, and the agreed final time.
-    let census = AtomicUsize::new(0);
-    let finished_at = AtomicU64::new(start_cycle + cfg.epochs * cfg.epoch_cycles);
-    let shared: &Fabric = fabric;
-    std::thread::scope(|s| {
-        for (port, m) in machines.iter_mut().enumerate() {
-            let barrier = &barrier;
-            let census = &census;
-            let finished_at = &finished_at;
-            s.spawn(move || {
-                let mut now = start_cycle;
-                for _ in 0..cfg.epochs {
-                    if m.halted() {
-                        census.fetch_add(1, Ordering::SeqCst);
-                    }
-                    barrier.wait();
-                    let all_halted = census.load(Ordering::SeqCst) == count;
-                    barrier.wait();
-                    // Port 0 resets the census; its store is ordered
-                    // before everyone's next census increment by the run
-                    // barrier below, which port 0 must also pass.
-                    if port == 0 {
-                        census.store(0, Ordering::SeqCst);
-                        if all_halted {
-                            finished_at.store(now, Ordering::SeqCst);
-                        }
-                    }
-                    if all_halted {
-                        break;
-                    }
-                    now += cfg.epoch_cycles;
-                    m.run_quantum(cfg.epoch_cycles);
-                    barrier.wait();
-                    // Sends from different sources interleave freely: the
-                    // fabric's sharded locks and ordering contract make
-                    // cross-source order unobservable.
-                    drain_into_fabric(m, port, shared, now, &mut |_, _, _| true);
-                    barrier.wait();
-                    deliver_due(m, port, shared, now);
-                    barrier.wait();
-                }
-            });
-        }
-    });
-    finished_at.load(Ordering::SeqCst)
 }
 
 /// One machine's slot in the pool executor: the machine itself plus the
@@ -453,7 +375,6 @@ mod tests {
             epochs: 7,
         };
         assert_eq!(run_sequential(&mut [], &mut fabric, cfg, 50), 750);
-        assert_eq!(run_parallel(&mut [], &mut fabric, cfg, 50), 750);
         assert_eq!(run_pool(&mut [], &mut fabric, cfg, 50, 4), 750);
     }
 
@@ -489,13 +410,6 @@ mod tests {
             "everyone halts during epoch 1; census fires at epoch 2"
         );
         assert!(seq_machines.iter().all(Dorado::halted));
-
-        let (mut par_machines, mut par_fabric) = halting_cluster(3);
-        let t_par = run_parallel(&mut par_machines, &mut par_fabric, cfg, 0);
-        assert_eq!(t_par, t_seq, "both executors agree on the final time");
-        for (a, b) in seq_machines.iter().zip(&par_machines) {
-            assert_eq!(a.cycles(), b.cycles());
-        }
 
         for pool in [1, 2, 8] {
             let (mut pool_machines, mut pool_fabric) = halting_cluster(3);

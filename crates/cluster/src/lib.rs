@@ -30,8 +30,7 @@ pub mod inject;
 pub mod workload;
 
 pub use exec::{
-    run_parallel, run_pool, run_pool_mangled, run_sequential, run_sequential_mangled, EpochConfig,
-    Exec, Mangle,
+    run_pool, run_pool_mangled, run_sequential, run_sequential_mangled, EpochConfig, Exec, Mangle,
 };
 pub use fabric::{Fabric, FabricConfig, PacketRecord};
 pub use inject::{kill_and_recover, PacketMangler, Recovery};

@@ -31,10 +31,7 @@ use dorado_emu::suite::{Suite, SuiteError};
 use dorado_emu::SuiteBuilder;
 use dorado_io::NetworkController;
 
-use crate::exec::{
-    run_parallel, run_pool, run_pool_mangled, run_sequential, run_sequential_mangled, EpochConfig,
-    Exec, Mangle,
-};
+use crate::exec::{run_pool_mangled, run_sequential_mangled, EpochConfig, Exec, Mangle};
 use crate::fabric::{Fabric, FabricConfig};
 
 /// What one machine in the cluster does.
@@ -258,22 +255,11 @@ impl ClusterSim {
         })
     }
 
-    /// Runs `epochs` more epochs under the chosen executor — all three
-    /// produce bit-identical results (see [`Exec`]).
+    /// Runs `epochs` more epochs under the chosen executor — both produce
+    /// bit-identical results (see [`Exec`]).  `run(..)` is exactly
+    /// `run_mangled(.., &mut |_, _, _| true)`.
     pub fn run(&mut self, epochs: u64, exec: Exec) {
-        let cfg = EpochConfig {
-            epoch_cycles: self.epoch_cycles,
-            epochs,
-        };
-        self.cycles = match exec {
-            Exec::Sequential => {
-                run_sequential(&mut self.machines, &mut self.fabric, cfg, self.cycles)
-            }
-            Exec::Threads => run_parallel(&mut self.machines, &mut self.fabric, cfg, self.cycles),
-            Exec::Pool(workers) => {
-                run_pool(&mut self.machines, &mut self.fabric, cfg, self.cycles, workers)
-            }
-        };
+        self.run_mangled(epochs, exec, &mut |_, _, _| true);
     }
 
     /// Like [`ClusterSim::run`], applying a fault injector to every
@@ -281,11 +267,6 @@ impl ClusterSim {
     /// [`run_sequential_mangled`] and [`run_pool_mangled`]; both call the
     /// hook serially in `(boundary, port)` order, so a seeded mangler
     /// produces the same fault schedule under either executor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`Exec::Threads`]: the legacy thread-per-machine
-    /// executor has no deterministic mangle hook.
     pub fn run_mangled(&mut self, epochs: u64, exec: Exec, mangle: Mangle<'_>) {
         let cfg = EpochConfig {
             epoch_cycles: self.epoch_cycles,
@@ -298,10 +279,6 @@ impl ClusterSim {
                 cfg,
                 self.cycles,
                 mangle,
-            ),
-            Exec::Threads => panic!(
-                "the thread-per-machine executor has no deterministic mangle hook; \
-                 use Exec::Sequential or Exec::Pool"
             ),
             Exec::Pool(workers) => run_pool_mangled(
                 &mut self.machines,

@@ -1,6 +1,6 @@
-//! The tentpole guarantee: every executor — sequential, thread-per-
-//! machine, and the work-stealing pool at *any* pool size — computes the
-//! *bit-identical* cluster: same per-machine counters, same fabric
+//! The tentpole guarantee: both executors — sequential, and the
+//! work-stealing pool at *any* pool size — compute the *bit-identical*
+//! cluster: same per-machine counters, same fabric
 //! traffic and logs, same checkpoint image, across epoch lengths,
 //! topologies, and mid-run snapshot/restore.
 
@@ -22,12 +22,10 @@ fn mixed_eight(epoch_cycles: u64) -> ClusterConfig {
     cfg
 }
 
-/// Equality up to observable results: counters, logs, time.  The legacy
-/// threads executor meets this but not checkpoint-byte equality — its
-/// racing sends claim fabric tie-breaker sequence numbers in
-/// nondeterministic order, which the ordering contract hides from every
-/// observable but a raw snapshot can expose while packets are in flight.
-fn assert_results_identical(a: &ClusterSim, b: &ClusterSim, what: &str) {
+/// The full contract, which the sequential and pool executors meet for
+/// any pool size: same counters, logs and time, and the full dynamic
+/// state serializes byte-identically.
+fn assert_identical(a: &ClusterSim, b: &ClusterSim, what: &str) {
     assert_eq!(a.cycles(), b.cycles(), "final time diverged: {what}");
     for (i, (ma, mb)) in a.machines.iter().zip(&b.machines).enumerate() {
         assert_eq!(ma.stats(), mb.stats(), "machine {i} diverged: {what}");
@@ -49,12 +47,6 @@ fn assert_results_identical(a: &ClusterSim, b: &ClusterSim, what: &str) {
             "rx log {port}: {what}"
         );
     }
-}
-
-/// The strongest form, which the sequential and pool executors meet for
-/// any pool size: the full dynamic state serializes byte-identically.
-fn assert_identical(a: &ClusterSim, b: &ClusterSim, what: &str) {
-    assert_results_identical(a, b, what);
     assert_eq!(
         a.save_checkpoint(),
         b.save_checkpoint(),
@@ -70,8 +62,8 @@ fn parallel_matches_sequential_bit_for_bit() {
         let mut par = ClusterSim::build(&cfg).unwrap();
         let epochs = 200_000 / epoch_cycles;
         seq.run(epochs, Exec::Sequential);
-        par.run(epochs, Exec::Threads);
-        assert_results_identical(&seq, &par, &format!("threads, epoch={epoch_cycles}"));
+        par.run(epochs, Exec::Pool(2));
+        assert_identical(&seq, &par, &format!("pool(2), epoch={epoch_cycles}"));
         // The run must have produced real traffic, or the comparison is
         // vacuous.
         assert!(seq.responses() > 0, "no traffic at epoch={epoch_cycles}");
@@ -125,7 +117,7 @@ fn resuming_across_executors_stays_identical() {
     let mut all_seq = ClusterSim::build(&cfg).unwrap();
     let mut alternating = ClusterSim::build(&cfg).unwrap();
     all_seq.run(120, Exec::Sequential);
-    alternating.run(30, Exec::Threads);
+    alternating.run(30, Exec::Pool(2));
     alternating.run(30, Exec::Pool(3));
     alternating.run(30, Exec::Sequential);
     alternating.run(30, Exec::Pool(1));

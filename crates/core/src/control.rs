@@ -123,10 +123,10 @@ impl Snapshot for ControlSection {
             *l = MicroAddr::new(r.u16()?);
         }
         self.ready = TaskSet::from_bits(r.u16()?);
-        self.this_task = TaskId::new(r.u8()?);
+        self.this_task = r.task()?;
         self.this_pc = MicroAddr::new(r.u16()?);
         self.stage1 = Stage1 {
-            task: TaskId::new(r.u8()?),
+            task: r.task()?,
             pc: MicroAddr::new(r.u16()?),
         };
         Ok(())

@@ -424,17 +424,8 @@ impl Dorado {
 
         // Phase 2: hold check, then execution.  The cache-counter probe
         // exists only in the traced instantiation, so the tracing-off path
-        // stays free.  (Only the processor and fast-I/O ports: the IFU
-        // port belongs to the prefetcher, which runs in phase 4.)
-        let probe = if TRACED {
-            let c = &self.mem.counters().cache;
-            (
-                c.processor.refs + c.fast_io.refs,
-                c.processor.hits + c.fast_io.hits,
-            )
-        } else {
-            (0, 0)
-        };
+        // stays free.
+        let probe = if TRACED { self.trace_probe() } else { (0, 0) };
         let held = self.check_hold(&inst, task);
         let this_task_next_pc;
         let mut block_effective = false;
@@ -513,34 +504,60 @@ impl Dorado {
             next_task: next,
             halted: halted_now,
         };
-        if let Some(tracer) = self.tracer.as_mut().filter(|_| TRACED) {
-            let (refs_before, hits_before) = probe;
-            let c = &self.mem.counters().cache;
-            let (refs_after, hits_after) = (
-                c.processor.refs + c.fast_io.refs,
-                c.processor.hits + c.fast_io.hits,
-            );
-            let cache = if refs_after == refs_before {
-                CacheOutcome::None
-            } else if hits_after > hits_before {
-                CacheOutcome::Hit
-            } else {
-                CacheOutcome::Miss
-            };
-            let bypass = held.is_none()
-                && self.bypass
-                && (inst.load.loads_t() || inst.load.loads_rm());
+        if TRACED {
+            self.trace_record(probe, cycle, task, at, held, next, &inst);
+        }
+        event
+    }
+
+    /// The cache counters a traced cycle is classified against: processor
+    /// and fast-I/O references and hits.  (The IFU port belongs to the
+    /// prefetcher, which runs in phase 4.)
+    #[inline]
+    fn trace_probe(&self) -> (u64, u64) {
+        let c = &self.mem.counters().cache;
+        (
+            c.processor.refs + c.fast_io.refs,
+            c.processor.hits + c.fast_io.hits,
+        )
+    }
+
+    /// Records one traced cycle.  The cache outcome is whatever processor
+    /// or fast-I/O reference landed since `probe` was taken (none on a
+    /// held cycle); bypass is set only on an executed instruction that
+    /// loads T or RM with the bypass hardware on.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn trace_record(
+        &mut self,
+        probe: (u64, u64),
+        cycle: u64,
+        task: TaskId,
+        addr: MicroAddr,
+        held: Option<HoldCause>,
+        next_task: TaskId,
+        inst: &DecodedInst,
+    ) {
+        let (refs, hits) = self.trace_probe();
+        let cache = if refs == probe.0 {
+            CacheOutcome::None
+        } else if hits > probe.1 {
+            CacheOutcome::Hit
+        } else {
+            CacheOutcome::Miss
+        };
+        let bypass = held.is_none() && self.bypass && (inst.load.loads_t() || inst.load.loads_rm());
+        if let Some(tracer) = self.tracer.as_mut() {
             tracer.record(TraceEvent {
                 cycle,
                 task,
-                addr: at,
+                addr,
                 held,
-                next_task: next,
+                next_task,
                 cache,
                 bypass,
             });
         }
-        event
     }
 
     /// Runs until halt, a breakpoint, the cycle budget, or a wedge.
@@ -820,23 +837,15 @@ impl Dorado {
                     // the memory system and the IFU, so probing it before
                     // this cycle's device tick is equivalent.)
                     while let Some(cause) = self.check_hold(&step.inst, task) {
+                        let probe = if TRACED { self.trace_probe() } else { (0, 0) };
                         woke = io_cycle(&mut self.io, &mut span, &mut io_pending);
                         self.drain_wb();
                         self.stats.held[task.index()] += 1;
                         self.stats.held_by[task.index()][cause.index()] += 1;
                         self.consecutive_holds += 1;
                         if TRACED {
-                            if let Some(tracer) = self.tracer.as_mut() {
-                                tracer.record(TraceEvent {
-                                    cycle: cycle_base + used,
-                                    task,
-                                    addr: pc,
-                                    held: Some(cause),
-                                    next_task: task,
-                                    cache: CacheOutcome::None,
-                                    bypass: false,
-                                });
-                            }
+                            let (cycle, held) = (cycle_base + used, Some(cause));
+                            self.trace_record(probe, cycle, task, pc, held, task, &step.inst);
                         }
                         used += 1;
                         last_addr = pc;
@@ -869,15 +878,7 @@ impl Dorado {
                     self.ifu.tick_quiescent_n(ifu_pending);
                     ifu_pending = 0;
                 }
-                let probe = if TRACED {
-                    let c = &self.mem.counters().cache;
-                    (
-                        c.processor.refs + c.fast_io.refs,
-                        c.processor.hits + c.fast_io.hits,
-                    )
-                } else {
-                    (0, 0)
-                };
+                let probe = if TRACED { self.trace_probe() } else { (0, 0) };
                 let next_pc = match step.kernel {
                     compiled::Kernel::Alu { next } => {
                         self.exec_alu_step(&step.inst, task);
@@ -892,31 +893,8 @@ impl Dorado {
                 executed += 1;
                 self.consecutive_holds = 0;
                 if TRACED {
-                    if let Some(tracer) = self.tracer.as_mut() {
-                        let c = &self.mem.counters().cache;
-                        let (refs_after, hits_after) = (
-                            c.processor.refs + c.fast_io.refs,
-                            c.processor.hits + c.fast_io.hits,
-                        );
-                        let cache = if refs_after == probe.0 {
-                            CacheOutcome::None
-                        } else if hits_after > probe.1 {
-                            CacheOutcome::Hit
-                        } else {
-                            CacheOutcome::Miss
-                        };
-                        let bypass = self.bypass
-                            && (step.inst.load.loads_t() || step.inst.load.loads_rm());
-                        tracer.record(TraceEvent {
-                            cycle: cycle_base + used,
-                            task,
-                            addr: pc,
-                            held: None,
-                            next_task: task,
-                            cache,
-                            bypass,
-                        });
-                    }
+                    let cycle = cycle_base + used;
+                    self.trace_record(probe, cycle, task, pc, None, task, &step.inst);
                 }
                 used += 1;
                 last_addr = pc;
@@ -1688,7 +1666,7 @@ impl Snapshot for Dorado {
         self.pending_wb = WbQueue::default();
         for _ in 0..n {
             let wb = match r.u8()? {
-                0 => WbWrite::T(TaskId::new(r.u8()?), r.u16()?),
+                0 => WbWrite::T(r.task()?, r.u16()?),
                 1 => {
                     let i = r.u64()? as usize;
                     if i >= self.dp.rm.len() {

@@ -43,8 +43,8 @@ use dorado_base::{ClockConfig, TaskId, Word, MUNCH_WORDS};
 /// The trait is object-safe; controllers are boxed into an [`IoSystem`].
 /// Default method bodies let simple devices ignore the fast I/O path.
 /// Controllers are plain data and must be [`Send`] so whole machines can
-/// move onto worker threads (the cluster executor runs one machine per
-/// thread).
+/// move onto worker threads (the cluster's pool executor hands machines
+/// to its workers).
 pub trait Device: std::fmt::Debug + std::any::Any + Send {
     /// A short name for traces.
     fn name(&self) -> &str;
@@ -425,39 +425,14 @@ impl IoSystem {
         self.last_next == Some(task)
     }
 
-    /// How many upcoming [`IoSystem::tick`] calls are guaranteed to be
-    /// complete no-ops beyond advancing the clock: the distance from `now`
-    /// to the event horizon.  Zero in always-tick mode, where every tick
-    /// does real work.  The compiled execution core uses this to hoist the
-    /// per-cycle device clock out of a fused basic-block run and replay it
-    /// with one [`IoSystem::advance_quiet`].
-    pub fn quiet_horizon(&self) -> u64 {
-        if self.always_tick {
-            return 0;
-        }
-        self.min_due.saturating_sub(self.now)
-    }
-
-    /// Advances the interconnect clock over `cycles` ticks that
-    /// [`IoSystem::quiet_horizon`] promised are no-ops.  Bit-identical to
-    /// calling [`IoSystem::tick`] `cycles` times while inside the horizon:
-    /// each such tick only increments `now` and returns at the fast path.
-    pub fn advance_quiet(&mut self, cycles: u64) {
-        debug_assert!(
-            !self.always_tick && self.now + cycles <= self.min_due,
-            "advance_quiet({cycles}) past the event horizon"
-        );
-        self.now += cycles;
-    }
-
     /// How many upcoming [`IoSystem::tick`] calls provably cannot change
     /// any device's wakeup or attention line, assuming no external access
-    /// intervenes.  This is strictly stronger than
-    /// [`IoSystem::quiet_horizon`]: a device may need real per-cycle work
-    /// inside the span (a display draining its FIFO at the dot rate) as
-    /// long as its *lines* hold still.  The compiled core runs that many
-    /// fused cycles without touching the device clock and then settles
-    /// them with one [`IoSystem::tick_span`].  Zero in always-tick mode.
+    /// intervenes.  This reaches past the event horizon: a device may need
+    /// real per-cycle work inside the span (a display draining its FIFO at
+    /// the dot rate) as long as its *lines* hold still.  The compiled core
+    /// runs that many fused cycles without touching the device clock and
+    /// then settles them with one [`IoSystem::tick_span`].  Zero in
+    /// always-tick mode.
     pub fn stable_span(&mut self) -> u64 {
         if self.always_tick {
             return 0;
@@ -808,11 +783,7 @@ impl Snapshot for IoSystem {
 
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         r.tag(b"IOSY")?;
-        self.last_next = if r.bool()? {
-            Some(TaskId::new(r.u8()?))
-        } else {
-            None
-        };
+        self.last_next = if r.bool()? { Some(r.task()?) } else { None };
         self.now = r.u64()?;
         if r.len()? != self.devices.len() {
             return Err(SnapError::Mismatch {

@@ -134,3 +134,38 @@ fn golden_jsonl_first_and_last_lines() {
         "{\"cycle\":28,\"task\":0,\"addr\":3,\"held\":null,\"next_task\":0,\"cache\":\"none\",\"bypass\":false}"
     );
 }
+
+#[test]
+fn workstation_trace_is_identical_in_both_exec_modes() {
+    // The golden program never hits the cache or switches tasks.  The
+    // workstation does both, with four tasks sharing the processor, so
+    // this pins every record site — interpreted cycles, and the fused
+    // frame's held and executed cycles — on hits, holds, and bypass.
+    const CYCLES: u64 = 50_000;
+    let trace = |mode: ExecMode| {
+        let mut m = dorado_bench::workstation_machine();
+        m.set_exec_mode(mode);
+        m.trace_enable(CYCLES as usize);
+        m.run(CYCLES);
+        (m.take_trace(), m.fused_coverage().1)
+    };
+    let (interpreted, _) = trace(ExecMode::Interpreted);
+    let (compiled, fused_cycles) = trace(ExecMode::Compiled);
+    assert_eq!(interpreted.len() as u64, CYCLES);
+    assert!(
+        fused_cycles > CYCLES / 10,
+        "only {fused_cycles} cycles ran fused"
+    );
+    let count = |p: &dyn Fn(&TraceEvent) -> bool| interpreted.iter().filter(|e| p(e)).count();
+    assert!(count(&|e| e.cache == CacheOutcome::Hit) > 0, "no cache hit");
+    assert!(count(&|e| e.cache == CacheOutcome::Miss) > 0, "no miss");
+    assert!(count(&|e| e.held.is_some()) > 0, "no held cycle");
+    assert!(count(&|e| e.bypass) > 0, "no bypassed result");
+    assert!(count(&|e| e.next_task != e.task) > 0, "no task switch");
+    assert!(count(&|e| e.task != TaskId::EMULATOR) > 0, "one task");
+    assert_eq!(compiled.len(), interpreted.len());
+    if let Some(i) = interpreted.iter().zip(&compiled).position(|(a, b)| a != b) {
+        let (a, b) = (&interpreted[i], &compiled[i]);
+        panic!("traces diverge at event {i}: interpreted {a:?}, compiled {b:?}");
+    }
+}

@@ -7,7 +7,7 @@
 
 use dorado::asm::{ASel, AluOp, Assembler, BSel, Inst};
 use dorado::base::check::{check, Rng};
-use dorado::base::snap::{restore_image, save_image};
+use dorado::base::snap::{restore_image, save_image, SnapError};
 use dorado::base::{BaseRegId, TaskId, VirtAddr, Word};
 use dorado::core::{ControlSection, DataSection, Dorado, DoradoBuilder, ExecMode};
 use dorado::emu::layout::{
@@ -16,7 +16,7 @@ use dorado::emu::layout::{
 };
 use dorado::emu::mesa::{self, MesaAsm};
 use dorado::emu::SuiteBuilder;
-use dorado::io::{DiskController, DisplayController, NetworkController};
+use dorado::io::{DiskController, DisplayController, IoSystem, NetworkController};
 
 // --- property round-trips ----------------------------------------------
 
@@ -90,6 +90,42 @@ fn corrupt_images_are_rejected() {
             "bit flip at byte {at} went unnoticed"
         );
     });
+}
+
+/// Overwrites one body byte of `img` and re-seals the FNV-1a trailer, so
+/// the forged image passes the checksum and reaches the field decoders.
+fn forge(img: &[u8], at: usize, byte: u8) -> Vec<u8> {
+    let mut body = img[..img.len() - 8].to_vec();
+    body[at] = byte;
+    let sum = body.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// A checksum-valid image naming task 16 or above is a typed error, not
+/// a panic in `TaskId::new`.
+#[test]
+fn forged_task_numbers_are_rejected() {
+    let invalid = Err(SnapError::Invalid { what: "task" });
+    // CTRL body: magic+version (6), tag (4), TPC and LINK (16 x 2 each),
+    // READY (2), then THISTASK at 76 and the stage-1 task at 79.
+    let ctrl = save_image(&ControlSection::new());
+    let mut c = ControlSection::new();
+    restore_image(&mut c, &forge(&ctrl, 76, 15)).expect("task 15 is in range");
+    assert_eq!(c.this_task, TaskId::new(15));
+    for at in [76, 79] {
+        for task in [16, 0xff] {
+            let img = forge(&ctrl, at, task);
+            assert_eq!(restore_image(&mut ControlSection::new(), &img), invalid);
+        }
+    }
+    // IOSY body: magic+version (6), tag (4), the NEXT-bus flag, its task.
+    let mut io = IoSystem::new();
+    io.observe_next(TaskId::new(3));
+    let img = forge(&save_image(&io), 11, 16);
+    assert_eq!(restore_image(&mut IoSystem::new(), &img), invalid);
 }
 
 // --- machine-level resume ----------------------------------------------
