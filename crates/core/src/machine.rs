@@ -148,15 +148,21 @@ enum WbWrite {
     Stack(usize, Word),
 }
 
-/// The deferred-writeback queue.  An instruction retires at most two
-/// register-file writes — T plus one of RM/stack — so two inline slots
-/// replace a heap-allocated `Vec` on the per-instruction hot path.
+/// The deferred-writeback queue of the Model-0 (bypass-off) pipeline,
+/// and the pending-writeback tail of a snapshot image.  With bypass on,
+/// writes retire in place and the queue stays empty.  An instruction
+/// retires at most two register-file writes — T plus one of RM/stack — so
+/// two inline slots suffice.
 #[derive(Debug, Clone, Copy, Default)]
 struct WbQueue {
     slots: [Option<WbWrite>; 2],
 }
 
 impl WbQueue {
+    fn is_empty(&self) -> bool {
+        self.slots[0].is_none()
+    }
+
     fn push(&mut self, write: WbWrite) {
         if self.slots[0].is_none() {
             self.slots[0] = Some(write);
@@ -1075,15 +1081,37 @@ impl Dorado {
     // --- execution ---------------------------------------------------------
 
     /// Commits the previous instruction's register-file writes.  In bypass
-    /// mode writes were applied immediately and this is a no-op; in Model-0
+    /// mode writes retired in place and the queue is empty; in Model-0
     /// mode it runs after the current instruction's operands are read.
+    #[inline]
     fn drain_wb(&mut self) {
+        if self.pending_wb.is_empty() {
+            return;
+        }
         for w in self.pending_wb.take().into_iter().flatten() {
-            match w {
-                WbWrite::T(task, v) => self.dp.t[task.index()] = v,
-                WbWrite::Rm(i, v) => self.dp.rm[i] = v,
-                WbWrite::Stack(i, v) => self.dp.stack[i] = v,
-            }
+            self.apply_wb(w);
+        }
+    }
+
+    #[inline]
+    fn apply_wb(&mut self, w: WbWrite) {
+        match w {
+            WbWrite::T(task, v) => self.dp.t[task.index()] = v,
+            WbWrite::Rm(i, v) => self.dp.rm[i] = v,
+            WbWrite::Stack(i, v) => self.dp.stack[i] = v,
+        }
+    }
+
+    /// Retires one register-file write (RESULT into T and RM/stack,
+    /// Figure 2's final half cycle).  With the §5.6 bypass the write lands
+    /// in place, visible to the very next microinstruction; the Model-0
+    /// pipeline queues it until the next instruction has read its operands.
+    #[inline]
+    fn retire(&mut self, w: WbWrite) {
+        if self.bypass {
+            self.apply_wb(w);
+        } else {
+            self.pending_wb.push(w);
         }
     }
 
@@ -1110,19 +1138,12 @@ impl Dorado {
         let f = self.dp.alufm[inst.aluop.index()];
         let saved_carry = self.dp.flags[task.index()].carry;
         let alu = alu_eval(f, a, b, saved_carry);
-        let mut writes = WbQueue::default();
         if inst.load.loads_t() {
-            writes.push(WbWrite::T(task, alu.result));
+            self.retire(WbWrite::T(task, alu.result));
         }
         if inst.load.loads_rm() {
-            writes.push(WbWrite::Rm(
-                self.dp.rm_address(task, inst.raddr),
-                alu.result,
-            ));
-        }
-        self.pending_wb = writes;
-        if self.bypass {
-            self.drain_wb();
+            let rm_idx = self.dp.rm_address(task, inst.raddr);
+            self.retire(WbWrite::Rm(rm_idx, alu.result));
         }
         self.dp.flags[task.index()] =
             CondFlags::from_result(alu.result, alu.carry, alu.overflow);
@@ -1356,23 +1377,17 @@ impl Dorado {
             }
         };
 
-        // Writebacks (RESULT into T and RM/stack, Figure 2's final half
-        // cycle).  STACKPTR adjusts for every stack op, read or write.
-        let mut writes = WbQueue::default();
+        // Writebacks.  STACKPTR adjusts for every stack op, read or write.
         if inst.load.loads_t() {
-            writes.push(WbWrite::T(task, result));
+            self.retire(WbWrite::T(task, result));
         }
         if stack_op {
             let waddr = self.dp.stack_bump(inst.stack_delta());
             if inst.load.loads_rm() {
-                writes.push(WbWrite::Stack(waddr, result));
+                self.retire(WbWrite::Stack(waddr, result));
             }
         } else if inst.load.loads_rm() {
-            writes.push(WbWrite::Rm(rm_idx, result));
-        }
-        self.pending_wb = writes;
-        if self.bypass {
-            self.drain_wb();
+            self.retire(WbWrite::Rm(rm_idx, result));
         }
 
         // Commit the branch-condition register for the next instruction.

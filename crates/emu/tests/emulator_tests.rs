@@ -506,3 +506,66 @@ fn bcpl_recursion_through_the_stack() {
     assert!(m.run(200_000).halted());
     assert_eq!(bcpl::tos(&m), 15);
 }
+
+// --- IFU decode tables ------------------------------------------------------
+
+/// Every opcode of every shipped decode table — the entries each emulator
+/// installs, and the default trap entry on the opcodes it leaves free —
+/// dispatches over exactly `length()` bytes and delivers the operands
+/// `operands()` describes.
+#[test]
+fn shipped_decode_tables_dispatch_exactly_their_encoded_length() {
+    use dorado_base::VirtAddr;
+    use dorado_ifu::OperandKind;
+    use dorado_mem::{MemConfig, MemorySystem};
+
+    // Operand bytes with the sign bit set, so sign extension shows.
+    const OPERAND_BYTES: [u8; 3] = [0x81, 0xf2, 0x37];
+    let machines = [
+        ("mesa", build_mesa(&[])),
+        ("lisp", build_lisp(&[])),
+        ("bcpl", build_bcpl(&[])),
+        ("smalltalk", build_smalltalk(&[])),
+    ];
+    for (name, m) in machines {
+        let mut ifu = m.expect("machine").ifu().clone();
+        // Opcode i's code sits at word 2i: the opcode, then operand bytes.
+        let mut mem = MemorySystem::new(MemConfig::default());
+        let [b0, b1, b2] = OPERAND_BYTES.map(Word::from);
+        for op in 0..=255u8 {
+            let base = 2 * u32::from(op);
+            mem.write_virt(VirtAddr::new(base), (Word::from(op) << 8) | b0);
+            mem.write_virt(VirtAddr::new(base + 1), (b1 << 8) | b2);
+        }
+        for op in 0..=255u8 {
+            let at = format!("{name} opcode {op:#04x}");
+            let e = *ifu.decode_entry(op);
+            let bytes: usize = e.operands().iter().map(|k| k.bytes()).sum();
+            assert_eq!(e.length(), 1 + bytes, "{at}");
+            ifu.set_code_base(VirtAddr::new(2 * u32::from(op)));
+            let mut ticks = 0;
+            let dispatched = loop {
+                if let Some(d) = ifu.dispatch() {
+                    break d;
+                }
+                ifu.tick(&mut mem);
+                mem.tick();
+                ticks += 1;
+                assert!(ticks < 1000, "{at} never dispatched");
+            };
+            assert_eq!(dispatched, (e.entry(), e.membase()), "{at}");
+            assert_eq!(ifu.pc() as usize, e.length(), "{at}");
+            let mut stream = OPERAND_BYTES.iter().map(|&b| Word::from(b));
+            let mut next = || stream.next().expect("three operand bytes");
+            for kind in e.operands() {
+                let want = match kind {
+                    OperandKind::Byte => next(),
+                    OperandKind::SignedByte => next() as u8 as i8 as i16 as Word,
+                    OperandKind::WordPair => (next() << 8) | next(),
+                };
+                assert_eq!(ifu.ifudata(), Some(want), "{at} {kind:?}");
+            }
+            assert_eq!(ifu.ifudata(), None, "{at}: extra operand");
+        }
+    }
+}

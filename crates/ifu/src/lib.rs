@@ -79,10 +79,18 @@ impl OperandKind {
 
 /// One entry of the IFU's 256-entry decode table: where the opcode's
 /// microcode starts and what operands follow it in the byte stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Plain `Copy` data — operands inline, length precomputed — because
+/// [`Ifu::dispatch`] reads one on every macroinstruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeEntry {
     entry: MicroAddr,
-    operands: Vec<OperandKind>,
+    /// The first `num_operands` slots are the operands; unused slots stay
+    /// `Byte`, so derived equality compares only what was added.
+    operands: [OperandKind; 2],
+    num_operands: u8,
+    /// Opcode plus operand bytes.
+    length: u8,
     membase: Option<u8>,
 }
 
@@ -91,7 +99,9 @@ impl DecodeEntry {
     pub fn new(entry: MicroAddr) -> Self {
         DecodeEntry {
             entry,
-            operands: Vec::new(),
+            operands: [OperandKind::Byte; 2],
+            num_operands: 0,
+            length: 1,
             membase: None,
         }
     }
@@ -118,8 +128,11 @@ impl DecodeEntry {
     /// Panics if the entry already has two operands.
     #[must_use]
     pub fn with_operand(mut self, kind: OperandKind) -> Self {
-        assert!(self.operands.len() < 2, "at most two operands per opcode");
-        self.operands.push(kind);
+        let n = usize::from(self.num_operands);
+        assert!(n < 2, "at most two operands per opcode");
+        self.operands[n] = kind;
+        self.num_operands += 1;
+        self.length += kind.bytes() as u8;
         self
     }
 
@@ -130,12 +143,12 @@ impl DecodeEntry {
 
     /// The operand descriptors.
     pub fn operands(&self) -> &[OperandKind] {
-        &self.operands
+        &self.operands[..usize::from(self.num_operands)]
     }
 
     /// Total instruction length in bytes (opcode + operands).
     pub fn length(&self) -> usize {
-        1 + self.operands.iter().map(|o| o.bytes()).sum::<usize>()
+        usize::from(self.length)
     }
 }
 
@@ -334,7 +347,7 @@ impl Ifu {
     /// microinstruction must be held (§5.7).
     pub fn dispatch(&mut self) -> Option<(MicroAddr, Option<u8>)> {
         let &op = self.buffer.front()?;
-        let entry = self.table[usize::from(op)].clone();
+        let entry = self.table[usize::from(op)];
         if self.buffer.len() < entry.length() {
             return None;
         }

@@ -224,6 +224,11 @@ pub struct IoSystem {
     /// Cached union of the asserted wakeup lines, maintained by every path
     /// that can change one (tick, NEXT broadcast, external access).
     wakeups: TaskSet,
+    /// The tasks some attached device is wired to wake.  A NEXT broadcast
+    /// naming any other task (every switch back to the emulator) notifies
+    /// nobody, so it skips the device scan.  Devices are never detached,
+    /// so inserting on attach keeps the set exact.
+    wired: TaskSet,
     /// Naive reference mode: tick every device every cycle, ignoring
     /// `next_due` hints.  For equivalence tests and baseline benchmarks.
     always_tick: bool,
@@ -274,6 +279,7 @@ impl IoSystem {
             );
         }
         let task = device.task();
+        self.wired.insert(task);
         let due = Self::due_of(device.as_ref(), self.now);
         let wake = device.wakeup();
         self.devices.push(Attached {
@@ -505,24 +511,28 @@ impl IoSystem {
     /// Broadcasts the NEXT bus: devices whose task is *newly* granted see
     /// the notification and may drop their wakeup (§6.2.1: "the earliest
     /// the wakeup can be removed is t0 of the task's first instruction").
+    ///
+    /// Called every cycle, so the edge and wiring tests stay inline and
+    /// only a rising edge of a wired task reaches the device scan.
+    #[inline]
     pub fn observe_next(&mut self, next: TaskId) {
-        if self.last_next != Some(next) {
-            let mut touched = false;
-            for i in 0..self.devices.len() {
-                if self.devices[i].task == next {
-                    self.sync_device(i);
-                    let a = &mut self.devices[i];
-                    a.device.observe_next();
-                    a.due = Self::due_of(a.device.as_ref(), self.now);
-                    a.wake = a.device.wakeup();
-                    touched = true;
-                }
-            }
-            if touched {
-                self.rebuild_summary();
-            }
+        if self.last_next != Some(next) && self.wired.contains(next) {
+            self.notify_granted(next);
         }
         self.last_next = Some(next);
+    }
+
+    fn notify_granted(&mut self, next: TaskId) {
+        for i in 0..self.devices.len() {
+            if self.devices[i].task == next {
+                self.sync_device(i);
+                let a = &mut self.devices[i];
+                a.device.observe_next();
+                a.due = Self::due_of(a.device.as_ref(), self.now);
+                a.wake = a.device.wakeup();
+            }
+        }
+        self.rebuild_summary();
     }
 
     /// IOADDRESS decode with a one-entry cache: slow-IO service loops poll
@@ -684,11 +694,23 @@ impl RatePacer {
     }
 
     /// Advances one cycle; returns how many events fire this cycle.
+    ///
+    /// Devices step every cycle they are ticked, so the common outcomes —
+    /// no event, or one — are a compare and a subtract; only a pacer that
+    /// can fire several events in one step pays for the division.
+    #[inline]
     pub fn step(&mut self) -> u64 {
         self.acc += self.num;
-        let events = self.acc / self.den;
+        if self.acc < self.den {
+            return 0;
+        }
+        self.acc -= self.den;
+        if self.acc < self.den {
+            return 1;
+        }
+        let more = self.acc / self.den;
         self.acc %= self.den;
-        events
+        1 + more
     }
 
     /// How many further [`RatePacer::step`] calls until one fires an
@@ -720,9 +742,15 @@ impl RatePacer {
             return None;
         }
         // The k-th step leaves the running total at acc + k·num; the n-th
-        // event has fired once that total reaches n·den.
-        let need = u128::from(n) * u128::from(self.den) - u128::from(self.acc);
-        Some(need.div_ceil(u128::from(self.num)) as u64)
+        // event has fired once that total reaches n·den.  Exact in u64
+        // unless n·den overflows, when u128 takes over.
+        match n.checked_mul(self.den) {
+            Some(total) => Some((total - self.acc).div_ceil(self.num)),
+            None => {
+                let need = u128::from(n) * u128::from(self.den) - u128::from(self.acc);
+                Some(need.div_ceil(u128::from(self.num)) as u64)
+            }
+        }
     }
 
     /// The pacer as it would stand after `cycles` individual
@@ -732,8 +760,16 @@ impl RatePacer {
     /// a pacer across a quiescent window in O(1).
     #[must_use]
     pub fn advanced(&self, cycles: u64) -> RatePacer {
-        let acc = ((u128::from(self.acc) + u128::from(cycles) * u128::from(self.num))
-            % u128::from(self.den)) as u64;
+        let total = cycles
+            .checked_mul(self.num)
+            .and_then(|t| t.checked_add(self.acc));
+        let acc = match total {
+            Some(total) => total % self.den,
+            None => {
+                ((u128::from(self.acc) + u128::from(cycles) * u128::from(self.num))
+                    % u128::from(self.den)) as u64
+            }
+        };
         RatePacer { acc, ..*self }
     }
 
@@ -755,7 +791,15 @@ impl Snapshot for RatePacer {
         if r.u64()? != self.num || r.u64()? != self.den {
             return Err(SnapError::Mismatch { what: "pacer rate" });
         }
-        self.acc = r.u64()?;
+        let acc = r.u64()?;
+        // Every step leaves the phase below the denominator; the closed
+        // forms rely on it.
+        if acc >= self.den {
+            return Err(SnapError::Invalid {
+                what: "pacer phase",
+            });
+        }
+        self.acc = acc;
         Ok(())
     }
 }
@@ -1005,6 +1049,82 @@ mod tests {
             naive.step();
         }
         assert_eq!(RatePacer::new(0, 5).cycles_until_event(), None);
+    }
+
+    /// `n` steps of a random pacer equal the division form event for
+    /// event, end on `advanced(n)`, and fire on the steps
+    /// `cycles_until_events` names; the u128 fallbacks agree far out.
+    fn pacer_matches_division(rng: &mut dorado_base::check::Rng) {
+        let den = rng.range(1, 1 << 20);
+        let num = match rng.below(4) {
+            0 => rng.below(den),              // at most one event a step
+            1 => den,                         // exactly one every step
+            2 => rng.range(den + 1, 8 * den), // several: the fallback
+            _ => 0,                           // never fires
+        };
+        let start = RatePacer {
+            num,
+            den,
+            acc: rng.below(den),
+        };
+        let n = rng.range(1, 400);
+        let (mut p, mut acc, mut total) = (start, start.acc, 0);
+        // fired[k - 1] = the step (1-based) on which the k-th event fires.
+        let mut fired = Vec::new();
+        for call in 1..=n {
+            acc += num;
+            let expect = acc / den;
+            acc %= den;
+            assert_eq!(p.step(), expect, "step {call} of {start:?}");
+            assert_eq!(p.acc, acc, "phase after step {call} of {start:?}");
+            total += expect;
+            fired.extend(std::iter::repeat_n(call, expect as usize));
+        }
+        assert_eq!(start.advanced(n), p, "closed-form advance of {start:?}");
+        for (k, &call) in fired.iter().enumerate() {
+            let k = k as u64 + 1;
+            assert_eq!(start.cycles_until_events(k), Some(call), "event {k}");
+        }
+        match start.cycles_until_event() {
+            Some(c) => assert_eq!(start.cycles_until_events(1), Some(c)),
+            None => assert_eq!((num, total), (0, 0)),
+        }
+        // Far beyond any stepped window the u64 products overflow and the
+        // u128 fallback answers; it must agree with the exact form.
+        let cycles = u64::MAX - rng.below(1 << 20);
+        let exact =
+            (u128::from(start.acc) + u128::from(cycles) * u128::from(num)) % u128::from(den);
+        assert_eq!(u128::from(start.advanced(cycles).acc), exact);
+        if num > 0 {
+            let events = u64::MAX / den + 1 + rng.below(1 << 20);
+            let need = u128::from(events) * u128::from(den) - u128::from(start.acc);
+            if let Ok(exact) = u64::try_from(need.div_ceil(u128::from(num))) {
+                assert_eq!(start.cycles_until_events(events), Some(exact));
+            }
+        }
+    }
+
+    #[test]
+    fn pacer_step_matches_the_division_form() {
+        dorado_base::check::check(
+            "pacer_step_matches_the_division_form",
+            256,
+            pacer_matches_division,
+        );
+    }
+
+    #[test]
+    fn pacer_restore_rejects_a_phase_past_the_denominator() {
+        use dorado_base::snap::{restore_image, save_image};
+        let mut forged = RatePacer::new(3, 80);
+        forged.acc = 80;
+        let mut p = RatePacer::new(3, 80);
+        assert_eq!(
+            restore_image(&mut p, &save_image(&forged)).unwrap_err(),
+            SnapError::Invalid {
+                what: "pacer phase"
+            }
+        );
     }
 
     /// A device with a self-scheduling period: fires an event every

@@ -332,3 +332,110 @@ fn workstation_checkpoint_resume_matches_straight_run() {
     assert_eq!(resumed.take_trace(), straight.take_trace());
     assert_eq!(save_image(&resumed), save_image(&straight));
 }
+
+// --- the pending-writeback tail -----------------------------------------
+
+/// The last bytes of a machine image before its 8-byte checksum: the
+/// pending-writeback tail `Dorado::save` writes last (a count, then each
+/// queued write).
+fn wb_tail(img: &[u8], bytes: usize) -> &[u8] {
+    &img[img.len() - 8 - bytes..img.len() - 8]
+}
+
+/// T ← 5, then RM[2] ← T + 1, then halt: one T write and one RM write.
+fn two_writes(bypass: bool, mode: ExecMode) -> Dorado {
+    let mut a = Assembler::new();
+    a.emit(Inst::new().const16(5).alu(AluOp::B).load_t());
+    a.emit(Inst::new().rm(2).a(ASel::T).alu(AluOp::INC_A).load_rm());
+    a.label("fin");
+    a.emit(Inst::new().ff_halt().goto_("fin"));
+    DoradoBuilder::new()
+        .microcode(a.place().unwrap())
+        .bypass(bypass)
+        .exec_mode(mode)
+        .build()
+        .unwrap()
+}
+
+/// Model-0 (bypass off) is the only pipeline that defers a writeback.  An
+/// image taken with a write in flight carries it, and a fresh machine
+/// restored from it lands the write on the same cycle: the distance-1
+/// read stays stale and the run ends exactly like a straight one.
+#[test]
+fn model0_snapshot_with_a_write_in_flight_finishes_like_a_straight_run() {
+    for mode in [ExecMode::Interpreted, ExecMode::Compiled] {
+        let build = || {
+            let mut a = Assembler::new();
+            a.emit(Inst::new().rm(1).const16(7).alu(AluOp::B).load_rm()); // RM[1] ← 7
+            a.emit(Inst::new().rm(1).alu(AluOp::A).load_t()); // distance 1: stale
+            a.label("fin");
+            a.emit(Inst::new().ff_halt().goto_("fin"));
+            let mut m = DoradoBuilder::new()
+                .microcode(a.place().unwrap())
+                .bypass(false)
+                .exec_mode(mode)
+                .build()
+                .unwrap();
+            m.set_rm(1, 0x55);
+            m
+        };
+        let mut straight = build();
+        assert!(straight.run(100).halted());
+        assert_eq!(
+            straight.t(TaskId::EMULATOR),
+            0x55,
+            "{mode:?}: distance-1 read is stale"
+        );
+        assert_eq!(straight.rm(1), 7, "{mode:?}");
+
+        let mut first = build();
+        first.step();
+        assert_eq!(first.rm(1), 0x55, "{mode:?}: the write is still in flight");
+        let img = save_image(&first);
+        // One queued write: count 1, kind 1 (RM), index 1, value 7.
+        let mut expect = 1u64.to_le_bytes().to_vec();
+        expect.push(1);
+        expect.extend_from_slice(&1u64.to_le_bytes());
+        expect.extend_from_slice(&7u16.to_le_bytes());
+        assert_eq!(wb_tail(&img, expect.len()), &expect[..], "{mode:?}");
+
+        let mut resumed = build();
+        restore_image(&mut resumed, &img).expect("Model-0 image restores");
+        assert_eq!(save_image(&resumed), img, "{mode:?}");
+        assert!(resumed.run(100).halted());
+        assert_eq!(
+            resumed.t(TaskId::EMULATOR),
+            0x55,
+            "{mode:?}: distance-1 read is still stale after restore"
+        );
+        assert_eq!(save_image(&resumed), save_image(&straight), "{mode:?}");
+    }
+}
+
+/// With the §5.6 bypass on (the default) every write retires in place, so
+/// an image never carries a pending writeback: not after `step`, not after
+/// `run`.  The same program under Model-0 does queue one, so the empty
+/// tail is not an artifact of where the check looks.
+#[test]
+fn bypass_images_carry_an_empty_writeback_tail() {
+    for mode in [ExecMode::Interpreted, ExecMode::Compiled] {
+        let mut model0 = two_writes(false, mode);
+        model0.step();
+        let mut t_write = 1u64.to_le_bytes().to_vec();
+        t_write.extend_from_slice(&[0, 0]); // kind 0 (T), task 0
+        t_write.extend_from_slice(&5u16.to_le_bytes());
+        assert_eq!(wb_tail(&save_image(&model0), t_write.len()), &t_write[..]);
+
+        let mut m = two_writes(true, mode);
+        for _ in 0..2 {
+            m.step();
+            assert_eq!(wb_tail(&save_image(&m), 8), &[0; 8], "{mode:?} after step");
+        }
+        assert_eq!((m.t(TaskId::EMULATOR), m.rm(2)), (5, 6), "{mode:?}");
+
+        let mut m = two_writes(true, mode);
+        assert!(m.run(100).halted());
+        assert_eq!(wb_tail(&save_image(&m), 8), &[0; 8], "{mode:?} after run");
+        assert_eq!((m.t(TaskId::EMULATOR), m.rm(2)), (5, 6), "{mode:?}");
+    }
+}
